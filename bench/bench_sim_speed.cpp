@@ -86,8 +86,7 @@ BENCHMARK(BM_EngineNestedTimersStdFunction);
 
 namespace {
 // Driver-style timer churn: many concurrent flows, each rescheduling a
-// short-delay timer from its own callback — the workload the optional
-// timer wheel is built for (every insert lands in wheel level 0).
+// short-delay timer from its own callback.
 struct ShortTick {
   sim::Engine* e;
   int* remaining;
@@ -96,14 +95,13 @@ struct ShortTick {
     if (--*remaining > 0) e->schedule(delay, *this);
   }
 };
+}  // namespace
 
-template <bool UseWheel>
-void engine_short_timers(benchmark::State& state) {
+static void BM_EngineShortTimersHeap(benchmark::State& state) {
   constexpr int kFlows = 256;
   constexpr int kEvents = 16384;
   for (auto _ : state) {
-    sim::Engine e(sim::EngineConfig{.timer_wheel = UseWheel,
-                                    .wheel_granularity_shift = 0});
+    sim::Engine e;
     int remaining = kEvents;
     for (int i = 0; i < kFlows; ++i)
       e.schedule(1 + i % 61, ShortTick{&e, &remaining, 1 + i % 61});
@@ -111,17 +109,7 @@ void engine_short_timers(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * kEvents);
 }
-}  // namespace
-
-static void BM_EngineShortTimersHeap(benchmark::State& state) {
-  engine_short_timers<false>(state);
-}
 BENCHMARK(BM_EngineShortTimersHeap);
-
-static void BM_EngineShortTimersWheel(benchmark::State& state) {
-  engine_short_timers<true>(state);
-}
-BENCHMARK(BM_EngineShortTimersWheel);
 
 static void BM_EngineCancelTimers(benchmark::State& state) {
   // The retransmission-timer pattern: schedule a cancellable guard, then

@@ -22,13 +22,8 @@ namespace openmx::core {
 /// completion.
 class Cluster {
  public:
-  /// `engine_config` selects the event-queue structure (4-ary heap by
-  /// default, hierarchical timer wheel opt-in); experiment results are
-  /// bit-identical either way.
-  explicit Cluster(NodeParams node_params = {}, net::NetParams net_params = {},
-                   sim::EngineConfig engine_config = {})
-      : engine_(engine_config),
-        node_params_(node_params),
+  explicit Cluster(NodeParams node_params = {}, net::NetParams net_params = {})
+      : node_params_(node_params),
         network_(engine_, net_params) {}
 
   [[nodiscard]] sim::Engine& engine() { return engine_; }

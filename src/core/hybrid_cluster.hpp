@@ -41,9 +41,8 @@ class HybridCluster {
  public:
   explicit HybridCluster(NodeParams node_params = {},
                          net::NetParams net_params = {},
-                         double fabric_oversub = 1.0,
-                         sim::EngineConfig engine_config = {})
-      : cluster_(node_params, net_params, engine_config),
+                         double fabric_oversub = 1.0)
+      : cluster_(node_params, net_params),
         flow_(cluster_.engine(),
               net::FlowParams::match(net_params, fabric_oversub)),
         hybrid_(cluster_.network(), flow_) {}

@@ -12,7 +12,6 @@
 #include "core/params.hpp"
 #include "core/process.hpp"
 #include "net/network.hpp"
-#include "obs/flight.hpp"
 #include "obs/registry.hpp"
 #include "sim/engine.hpp"
 #include "sim/lp.hpp"
@@ -35,8 +34,7 @@ namespace openmx::core {
 class ParallelCluster {
  public:
   explicit ParallelCluster(int num_lps, NodeParams node_params = {},
-                           net::NetParams net_params = {},
-                           sim::EngineConfig engine_config = {})
+                           net::NetParams net_params = {})
       : node_params_(node_params),
         net_params_(net_params),
         scheduler_(net_params.latency_ns) {
@@ -45,7 +43,7 @@ class ParallelCluster {
     lps_.reserve(static_cast<std::size_t>(num_lps));
     shards_.reserve(static_cast<std::size_t>(num_lps));
     for (int i = 0; i < num_lps; ++i) {
-      lps_.push_back(std::make_unique<sim::Lp>(i, engine_config));
+      lps_.push_back(std::make_unique<sim::Lp>(i));
       shards_.push_back(
           std::make_unique<net::Network>(lps_.back()->engine(), net_params));
       scheduler_.add(*lps_.back());
@@ -147,15 +145,6 @@ class ParallelCluster {
   /// themselves worker-count invariant (asserted by test_determinism).
   void collect_scheduler_metrics(obs::Registry& out) const {
     scheduler_.export_metrics(out);
-  }
-
-  /// Binds one flight-recorder shard per LP (fr must have num_lps()
-  /// shards): every LP's trace feeds its own lock-free ring, so a
-  /// postmortem dump holds each partition's event tail.
-  void attach_flight(obs::FlightRecorder& fr) {
-    for (std::size_t i = 0; i < lps_.size(); ++i)
-      lps_[i]->engine().trace().attach_flight(&fr,
-                                              static_cast<std::uint32_t>(i));
   }
 
  private:

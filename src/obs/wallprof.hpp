@@ -40,10 +40,9 @@ namespace openmx::obs {
 ///
 /// Wall numbers are inherently nondeterministic, so they live strictly
 /// apart from the deterministic metrics stream: export_metrics() writes
-/// wall.<zone>.{ns,count,excl_ns} into a *caller-chosen* registry (the
-/// same segregation contract as LpScheduler::wall_metrics()) and nothing
-/// in the library ever merges them into a simulation registry, replay
-/// digest, or committed baseline (asserted by test_wallprof).
+/// wall.<zone>.{ns,count,excl_ns} into a *caller-chosen* registry and
+/// nothing in the library ever merges them into a simulation registry,
+/// replay digest, or committed baseline (asserted by test_wallprof).
 ///
 /// Gates:
 ///  - build time: ENABLE_WALLPROF=OFF compiles zones out entirely;

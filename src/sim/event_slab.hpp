@@ -1,7 +1,9 @@
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "sim/inline_fn.hpp"
@@ -85,8 +87,8 @@ class EventSlab {
 /// Queue entry (24 bytes): the total dispatch order is lexicographic
 /// (when, seq), seq being the global schedule sequence — FIFO per
 /// timestamp, the determinism invariant every experiment relies on.
-/// The callback stays in the slab; only this key moves during heap or
-/// wheel rebalancing.
+/// The callback stays in the slab; only this key moves during heap
+/// rebalancing.
 struct EventKey {
   Time when;
   std::uint64_t seq;
@@ -97,6 +99,8 @@ struct EventKey {
     return seq < o.seq;
   }
 };
+static_assert(std::is_trivially_copyable_v<EventKey>);
+static_assert(sizeof(EventKey) == 24);
 
 /// Owned 4-ary implicit min-heap of EventKeys.
 ///

@@ -1,210 +1,181 @@
 #pragma once
 
-#include <cstdarg>
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <string>
 #include <string_view>
-#include <type_traits>
 #include <vector>
 
-#include "obs/flight.hpp"
 #include "obs/trace.hpp"
 #include "sim/time.hpp"
 
 namespace openmx::sim {
 
-/// One record in the event trace, reconstructed with strings for
-/// inspection.  The stored form is the 32-byte POD obs::TraceEvent; this
-/// struct only exists at snapshot() time.
-struct TraceRecord {
-  Time when = 0;
-  int node = -1;
-  std::string category;  // "wire.tx", "pull.start", ...
-  std::string message;
-};
-
-/// A bounded in-memory trace of simulation events.
+/// The event trace: one bounded ring of 32-byte obs::TraceEvent PODs per
+/// engine.
 ///
-/// Compatibility shim over the typed obs:: trace machinery: records are
-/// fixed-size PODs carrying interned name ids and two u64 arguments — no
-/// std::string ever touches the record path.  The classic string API
-/// (record(), snapshot(), count()) survives on top of it:
-///  - record(category, message) interns both strings;
-///  - record(category, lazy) only invokes the message-building callable
-///    when the record will actually be stored;
-///  - intern_event()/event() is the zero-allocation fast path used by
-///    hot call sites (wire tx, pull lifecycle);
-///  - OMX_TRACEF never evaluates its arguments when tracing is off.
-///
-/// Disabled is the default, and a disabled trace is one branch per call
-/// site.  The buffer is a ring: when full, the oldest records are
-/// dropped, so long experiments keep their tail.
+/// Call sites intern their event name once (intern_event(), at component
+/// construction) and then record with event(): a POD store with interned
+/// name ids and two u64 arguments, no strings, no allocation.  Disabled
+/// is the default; a disabled trace allocates nothing and event() costs
+/// one branch.  enable(capacity) allocates a power-of-two ring, so each
+/// store is one masked write; when full, the oldest events are
+/// overwritten (and counted as dropped), so the ring always holds the
+/// tail of the run.  That tail is what dump_postmortem_json() writes
+/// when a harness's on_panic hook or invariant check fails — harnesses
+/// enable a small ring for exactly that — and what snapshot()/dump()
+/// show for inspection.
 class Trace {
  public:
-  explicit Trace(std::size_t capacity = 1 << 16) : buf_(capacity) {}
+  static constexpr std::size_t kDefaultCapacity = std::size_t{1} << 16;
 
+  Trace() = default;
   Trace(const Trace&) = delete;
   Trace& operator=(const Trace&) = delete;
 
-  void enable(bool on = true) { enabled_ = on; }
-  [[nodiscard]] bool enabled() const { return enabled_; }
-
-  /// Attaches an always-on flight recorder: every typed event() — the
-  /// unconditional hot call sites (wire tx, pull lifecycle) — is mirrored
-  /// into `fr`'s ring for shard `shard` even while the trace itself is
-  /// disabled, at the cost of one POD store.  The string record() paths
-  /// feed it too, but only when their call site runs (OMX_TRACEF checks
-  /// enabled() at the call site).  Passing nullptr detaches.
-  void attach_flight(obs::FlightRecorder* fr, std::uint32_t shard = 0) {
-    flight_ = fr;
-    flight_shard_ = shard;
-    if (fr) fr->bind_names(shard, &events_, &msgs_);
+  /// Starts recording into an empty ring of `capacity` events, rounded
+  /// up to a power of two.
+  void enable(std::size_t capacity = kDefaultCapacity) {
+    ring_.assign(std::bit_ceil(std::max<std::size_t>(capacity, 1)), {});
+    mask_ = ring_.size() - 1;
+    total_ = 0;
   }
-  [[nodiscard]] obs::FlightRecorder* flight() const { return flight_; }
-
-  /// Restrict recording to one category prefix (empty = everything).
-  void set_filter(std::string prefix) { filter_ = std::move(prefix); }
+  /// Ring size; 0 until enable() is called.
+  [[nodiscard]] std::size_t capacity() const { return ring_.size(); }
 
   /// Pre-interns an event name; the returned id makes event() a pure POD
   /// store.  Call once per site (component constructors).
   [[nodiscard]] obs::EventId intern_event(std::string_view name) {
-    const std::uint32_t id = events_.intern(name);
+    const std::uint32_t id = names_.intern(name);
     return obs::EventId{static_cast<std::uint16_t>(id), obs::classify(name)};
   }
 
-  /// Typed fast path: no strings, no allocation; a0/a1 are free-form
-  /// event arguments (byte counts, handles, packed addresses).
+  /// Records one event; a0/a1 are free-form event arguments (byte
+  /// counts, handles, packed addresses).
   void event(Time when, int node, obs::EventId id, std::uint64_t a0 = 0,
              std::uint64_t a1 = 0) {
-    if (!flight_ && !enabled_) return;
-    obs::TraceEvent e;
+    if (ring_.empty()) return;
+    obs::TraceEvent& e = ring_[total_++ & mask_];
     e.when = when;
     e.node = node;
     e.cat = id.cat;
     e.id = id.id;
     e.a0 = a0;
     e.a1 = a1;
-    if (flight_) flight_->record(flight_shard_, e);
-    if (!enabled_ || !pass(events_.name(id.id))) return;
-    buf_.push(e);
   }
 
-  /// String-compatibility path: both strings are interned (identical
-  /// strings are stored once).
-  void record(Time when, int node, std::string_view category,
-              std::string_view message) {
-    const bool store = enabled_ && pass(category);
-    if (!store && !flight_) return;
-    obs::TraceEvent e;
-    e.when = when;
-    e.node = node;
-    e.cat = obs::classify(category);
-    e.flags = obs::kMsgInterned;
-    e.id = static_cast<std::uint16_t>(events_.intern(category));
-    e.a0 = msgs_.intern(message);
-    if (flight_) flight_->record(flight_shard_, e);
-    if (store) buf_.push(e);
+  /// Retained events (at most capacity()).
+  [[nodiscard]] std::size_t size() const {
+    return static_cast<std::size_t>(std::min<std::uint64_t>(total_,
+                                                            ring_.size()));
+  }
+  /// Events overwritten by newer ones since enable() or clear().
+  [[nodiscard]] std::uint64_t dropped() const { return total_ - size(); }
+
+  void clear() { total_ = 0; }
+
+  /// Name of an interned event id ("wire.tx", "pull.start", ...).
+  [[nodiscard]] const std::string& name(std::uint16_t id) const {
+    return names_.name(id);
   }
 
-  /// Lazy path: `lazy()` builds the message string and is only invoked
-  /// when the record passes the enabled/filter checks.
-  template <typename Fn,
-            std::enable_if_t<std::is_invocable_v<Fn&>, int> = 0>
-  void record(Time when, int node, std::string_view category, Fn&& lazy) {
-    if (!enabled_ || !pass(category)) return;
-    record(when, node, category, std::string_view(lazy()));
-  }
-
-  /// printf-style recording; see OMX_TRACEF for the call-site macro that
-  /// makes the whole call free when tracing is off.
-#if defined(__GNUC__)
-  __attribute__((format(printf, 5, 6)))
-#endif
-  void
-  recordf(Time when, int node, std::string_view category, const char* fmt,
-          ...) {
-    if (!enabled_ || !pass(category)) return;
-    char msg[192];
-    std::va_list ap;
-    va_start(ap, fmt);
-    std::vsnprintf(msg, sizeof msg, fmt, ap);
-    va_end(ap);
-    record(when, node, category, std::string_view(msg));
-  }
-
-  /// Records in chronological order, with names/messages reconstructed.
-  [[nodiscard]] std::vector<TraceRecord> snapshot() const {
-    std::vector<TraceRecord> out;
-    out.reserve(buf_.size());
-    for (std::size_t i = 0; i < buf_.size(); ++i) {
-      const obs::TraceEvent& e = buf_.chrono(i);
-      out.push_back(TraceRecord{e.when, e.node, events_.name(e.id),
-                                message_of(e)});
-    }
+  /// Retained events in chronological order.
+  [[nodiscard]] std::vector<obs::TraceEvent> snapshot() const {
+    std::vector<obs::TraceEvent> out;
+    out.reserve(size());
+    for (std::uint64_t i = total_ - size(); i < total_; ++i)
+      out.push_back(ring_[i & mask_]);
     return out;
   }
 
-  /// Number of records matching a category prefix.
+  /// Number of retained events whose name starts with `prefix`.
   [[nodiscard]] std::size_t count(std::string_view prefix) const {
     std::size_t n = 0;
-    for (std::size_t i = 0; i < buf_.size(); ++i)
-      if (std::string_view(events_.name(buf_.chrono(i).id))
-              .starts_with(prefix))
-        ++n;
+    for (const obs::TraceEvent& e : snapshot())
+      if (std::string_view(name(e.id)).starts_with(prefix)) ++n;
     return n;
   }
 
-  [[nodiscard]] std::size_t size() const { return buf_.size(); }
-  [[nodiscard]] std::uint64_t dropped() const { return buf_.dropped(); }
-
-  void clear() { buf_.clear(); }
-
-  /// Raw typed view (exporters, tests of the POD path).
-  [[nodiscard]] const obs::TraceBuffer& buffer() const { return buf_; }
-  [[nodiscard]] const obs::Interner& event_names() const { return events_; }
-
-  /// Human-readable dump (for examples and debugging).
+  /// Human-readable dump of the last `max_lines` events (for examples
+  /// and debugging).
   void dump(std::FILE* out = stdout, std::size_t max_lines = 200) const {
-    const auto recs = snapshot();
+    const auto evs = snapshot();
     const std::size_t start =
-        recs.size() > max_lines ? recs.size() - max_lines : 0;
-    for (std::size_t i = start; i < recs.size(); ++i)
-      std::fprintf(out, "%12.3f us  n%d  %-10s %s\n",
-                   to_micros(recs[i].when), recs[i].node,
-                   recs[i].category.c_str(), recs[i].message.c_str());
+        evs.size() > max_lines ? evs.size() - max_lines : 0;
+    for (std::size_t i = start; i < evs.size(); ++i) {
+      const obs::TraceEvent& e = evs[i];
+      std::fprintf(out, "%12.3f us  n%d  %-10s ", to_micros(e.when), e.node,
+                   name(e.id).c_str());
+      if (e.a1)
+        std::fprintf(out, "a0=%llu a1=%llu\n",
+                     static_cast<unsigned long long>(e.a0),
+                     static_cast<unsigned long long>(e.a1));
+      else if (e.a0)
+        std::fprintf(out, "a0=%llu\n", static_cast<unsigned long long>(e.a0));
+      else
+        std::fputs("\n", out);
+    }
+  }
+
+  /// Chrome-trace/Perfetto postmortem dump: a "postmortem" header first
+  /// (failure reason, seed, ring capacity, events ever recorded), then
+  /// one instant event per line in chronological order and a fixed field
+  /// order, so `omx_postmortem` can parse it with sscanf.  The output
+  /// depends only on the recorded events, never on wall time or
+  /// addresses.
+  void dump_postmortem_json(std::FILE* out, const char* reason,
+                            std::uint64_t seed) const {
+    std::fprintf(out,
+                 "{\"postmortem\":{\"reason\":\"%s\",\"seed\":%llu,"
+                 "\"shards\":1,\"capacity\":%zu,\"recorded\":[%llu]},\n"
+                 "\"traceEvents\":[\n"
+                 "{\"ph\":\"M\",\"pid\":0,\"name\":\"process_name\","
+                 "\"args\":{\"name\":\"shard0\"}}",
+                 escape(reason).c_str(), static_cast<unsigned long long>(seed),
+                 ring_.size(), static_cast<unsigned long long>(total_));
+    for (const obs::TraceEvent& e : snapshot())
+      std::fprintf(
+          out,
+          ",\n{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"i\",\"s\":\"t\","
+          "\"pid\":0,\"tid\":%d,\"ts\":%.3f,"
+          "\"args\":{\"node\":%d,\"a0\":%llu,\"a1\":%llu}}",
+          escape(name(e.id).c_str()).c_str(), obs::cat_name(e.cat),
+          e.node >= 0 ? e.node : 0, to_micros(e.when), e.node,
+          static_cast<unsigned long long>(e.a0),
+          static_cast<unsigned long long>(e.a1));
+    std::fputs("\n],\"displayTimeUnit\":\"ns\"}\n", out);
+  }
+
+  /// Writes the postmortem dump to `path`; returns false if the file
+  /// cannot be opened (the caller is already on a failure path — never
+  /// throw).
+  bool dump_postmortem_json(const std::string& path, const char* reason,
+                            std::uint64_t seed) const {
+    std::FILE* f = std::fopen(path.c_str(), "w");
+    if (!f) return false;
+    dump_postmortem_json(f, reason, seed);
+    std::fclose(f);
+    return true;
   }
 
  private:
-  [[nodiscard]] bool pass(std::string_view category) const {
-    return filter_.empty() || category.starts_with(filter_);
+  /// Minimal JSON string sanitizer for reasons and event names (both
+  /// come from our own code, so mapping the rare quote/backslash/control
+  /// byte to a safe character beats dragging in real escaping).
+  [[nodiscard]] static std::string escape(const char* s) {
+    std::string out(s ? s : "");
+    for (char& c : out)
+      if (c == '"' || c == '\\' || static_cast<unsigned char>(c) < 0x20)
+        c = '\'';
+    return out;
   }
 
-  [[nodiscard]] std::string message_of(const obs::TraceEvent& e) const {
-    if (e.flags & obs::kMsgInterned)
-      return msgs_.name(static_cast<std::uint32_t>(e.a0));
-    if (e.a1)
-      return "a0=" + std::to_string(e.a0) + " a1=" + std::to_string(e.a1);
-    if (e.a0) return "a0=" + std::to_string(e.a0);
-    return {};
-  }
-
-  bool enabled_ = false;
-  std::string filter_;
-  obs::TraceBuffer buf_;
-  obs::Interner events_;  // event/category names (bounded, u16 ids)
-  obs::Interner msgs_;    // compat-path message strings
-  obs::FlightRecorder* flight_ = nullptr;  // always-on postmortem ring
-  std::uint32_t flight_shard_ = 0;
+  std::vector<obs::TraceEvent> ring_;  // empty while disabled
+  std::uint64_t mask_ = 0;
+  std::uint64_t total_ = 0;  // events recorded since enable()/clear()
+  obs::Interner names_;      // event names (bounded, u16 ids)
 };
 
 }  // namespace openmx::sim
-
-/// Free-when-disabled trace macro: arguments after `cat` are a printf
-/// format + values and are not evaluated unless the trace is enabled.
-#define OMX_TRACEF(tr, when, node, cat, ...)                       \
-  do {                                                             \
-    auto& omx_tracef_ref_ = (tr);                                  \
-    if (omx_tracef_ref_.enabled())                                 \
-      omx_tracef_ref_.recordf((when), (node), (cat), __VA_ARGS__); \
-  } while (0)

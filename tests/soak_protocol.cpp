@@ -29,7 +29,6 @@
 #include "core/endpoint.hpp"
 #include "fault/fault.hpp"
 #include "obs/attrib.hpp"
-#include "obs/flight.hpp"
 #include "obs/monitor.hpp"
 #include "sim/rng.hpp"
 #include "sim/sweep.hpp"
@@ -153,14 +152,14 @@ RunResult run_one(std::uint64_t seed) {
   cluster.engine().spans().enable();
   cluster.engine().attrib().enable();
 
-  // Always-on flight recorder: whatever happens, the last ~512 trace
-  // events survive for the postmortem dump below.
-  obs::FlightRecorder recorder(1, 512);
-  cluster.engine().trace().attach_flight(&recorder, 0);
+  // Postmortem ring: whatever happens, the last 512 trace events
+  // survive for the postmortem dump below.
+  sim::Trace& recorder = cluster.engine().trace();
+  recorder.enable(512);
   const std::string postmortem_path =
       bench::out_path("postmortem_" + std::to_string(seed) + ".json");
   cluster.engine().set_on_panic([&](const char* why) {
-    recorder.dump_json_file(postmortem_path, why, seed);
+    recorder.dump_postmortem_json(postmortem_path, why, seed);
     fail(std::string("engine panic: ") + why);
   });
 
@@ -243,7 +242,7 @@ RunResult run_one(std::uint64_t seed) {
   // invariants — leave a postmortem behind for omx_postmortem.
   auto dump_postmortem = [&]() {
     if (res.ok) return;
-    if (recorder.dump_json_file(postmortem_path, res.why.c_str(), seed))
+    if (recorder.dump_postmortem_json(postmortem_path, res.why.c_str(), seed))
       std::fprintf(stderr, "postmortem: %s (pretty-print with omx_postmortem)\n",
                    postmortem_path.c_str());
   };

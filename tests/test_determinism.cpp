@@ -3,10 +3,9 @@
 // The engine's contract is a total dispatch order, lexicographic in
 // (when, schedule-sequence) — FIFO per timestamp.  The seed engine got
 // this from std::priority_queue over per-event sequence numbers; the
-// slab engine gets it from 24-byte keys in an owned 4-ary heap or a
-// hierarchical timer wheel.  These tests pin the contract down against
-// a straightforward reference implementation and randomized workloads,
-// and assert that SweepRunner fan-out cannot change experiment results.
+// slab engine gets it from 24-byte keys in an owned 4-ary heap.  These
+// tests pin the contract down against a straightforward reference
+// implementation and randomized workloads, and assert that SweepRunner fan-out cannot change experiment results.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -75,9 +74,8 @@ std::vector<int> reference_order(const std::vector<WorkloadOp>& ops) {
   return order;
 }
 
-std::vector<int> engine_order(const sim::EngineConfig& cfg,
-                              const std::vector<WorkloadOp>& ops) {
-  sim::Engine e(cfg);
+std::vector<int> engine_order(const std::vector<WorkloadOp>& ops) {
+  sim::Engine e;
   std::vector<int> order;
   // Schedule in op order so engine sequence numbers match the reference
   // seq assignment one-to-one.
@@ -94,30 +92,15 @@ std::vector<int> engine_order(const sim::EngineConfig& cfg,
 TEST(Determinism, HeapMatchesPriorityQueueReference) {
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     const auto ops = random_workload(seed, 500);
-    EXPECT_EQ(engine_order(sim::EngineConfig{}, ops), reference_order(ops))
-        << "seed " << seed;
+    EXPECT_EQ(engine_order(ops), reference_order(ops)) << "seed " << seed;
   }
 }
 
-TEST(Determinism, WheelMatchesPriorityQueueReference) {
-  sim::EngineConfig wheel;
-  wheel.timer_wheel = true;
-  wheel.wheel_granularity_shift = 0;
-  sim::EngineConfig coarse = wheel;
-  coarse.wheel_granularity_shift = 6;
-  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-    const auto ops = random_workload(seed, 500);
-    const auto ref = reference_order(ops);
-    EXPECT_EQ(engine_order(wheel, ops), ref) << "seed " << seed;
-    EXPECT_EQ(engine_order(coarse, ops), ref) << "seed " << seed;
-  }
-}
-
-TEST(Determinism, NestedSchedulingMatchesAcrossQueues) {
+TEST(Determinism, NestedSchedulingIdenticalAcrossReruns) {
   // Events scheduled from inside callbacks (the dominant pattern in the
-  // driver) must interleave identically under heap and wheel.
-  auto run = [](const sim::EngineConfig& cfg) {
-    sim::Engine e(cfg);
+  // driver) must interleave identically on every run.
+  auto run = [] {
+    sim::Engine e;
     std::vector<std::pair<sim::Time, int>> trace;
     sim::Rng rng(99);
     for (int i = 0; i < 32; ++i) {
@@ -134,16 +117,14 @@ TEST(Determinism, NestedSchedulingMatchesAcrossQueues) {
     e.run();
     return trace;
   };
-  const auto heap_trace = run(sim::EngineConfig{});
-  sim::EngineConfig wheel;
-  wheel.timer_wheel = true;
-  EXPECT_EQ(run(wheel), heap_trace);
-  EXPECT_EQ(run(sim::EngineConfig{}), heap_trace);  // re-run: identical
+  const auto first = run();
+  EXPECT_EQ(first.size(), 32u * 4u);
+  EXPECT_EQ(run(), first);
 }
 
-TEST(Determinism, SimulatedPingPongIdenticalAcrossQueuesAndReruns) {
+TEST(Determinism, SimulatedPingPongIdenticalAcrossReruns) {
   // Whole-simulation check: one cluster ping-pong gives bit-identical
-  // virtual times under the heap, the wheel, and on a re-run.
+  // virtual times on a re-run.
   const sim::Time heap1 =
       openmx::bench::pingpong_oneway(openmx::bench::cfg_omx(), 4096, 3, 1);
   const sim::Time heap2 =
@@ -310,8 +291,9 @@ TEST(Determinism, SchedulerMetricsIdenticalAcrossWorkersAndReruns) {
   // critical-LP attribution, virtual-time barrier stalls) is exported in
   // LP-id order and derives only from the deterministic window protocol —
   // so the merged registry must be byte-identical across repeated runs
-  // AND across 1/2/4/8 workers.  Wall-clock barrier waits live in the
-  // separate wall_metrics() registry precisely so this holds.
+  // AND across 1/2/4/8 workers.  Wall-clock barrier waits are measured
+  // only by the wall profiler's lp.barrier_wait zone, which writes to a
+  // caller-chosen wall registry, precisely so this holds.
   const int kNodes = 8, kIters = 2;
   auto scheduler_digest = [&](unsigned workers) {
     core::ParallelCluster cluster(kNodes);

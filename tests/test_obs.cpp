@@ -11,7 +11,6 @@
 
 #include "bench/common.hpp"
 #include "core/parallel_cluster.hpp"
-#include "obs/flight.hpp"
 #include "obs/monitor.hpp"
 #include "obs/perfetto.hpp"
 #include "obs/registry.hpp"
@@ -646,20 +645,18 @@ TEST(Registry, LpShardMergeInLpOrderIsByteStable) {
 }
 
 // ---------------------------------------------------------------------
-// Flight recorder: always-on postmortem ring
+// Postmortem trace ring
 // ---------------------------------------------------------------------
 
-TEST(FlightRecorder, RingKeepsChronologicalTail) {
-  obs::FlightRecorder fr(1, 256);
-  ASSERT_EQ(fr.per_shard_capacity(), 256u);
-  for (std::uint64_t i = 0; i < 300; ++i) {
-    obs::TraceEvent e;
-    e.when = static_cast<sim::Time>(i);
-    e.a0 = i;
-    fr.record(0, e);
-  }
-  EXPECT_EQ(fr.recorded(0), 300u);
-  const auto tail = fr.tail(0);
+TEST(TraceRing, KeepsChronologicalTail) {
+  sim::Trace trace;
+  trace.enable(256);
+  ASSERT_EQ(trace.capacity(), 256u);
+  const obs::EventId id = trace.intern_event("wire.tx");
+  for (std::uint64_t i = 0; i < 300; ++i)
+    trace.event(static_cast<sim::Time>(i), 0, id, i);
+  EXPECT_EQ(trace.size() + trace.dropped(), 300u);
+  const auto tail = trace.snapshot();
   ASSERT_EQ(tail.size(), 256u);  // oldest 44 overwritten
   EXPECT_EQ(tail.front().a0, 44u);
   EXPECT_EQ(tail.back().a0, 299u);
@@ -667,44 +664,18 @@ TEST(FlightRecorder, RingKeepsChronologicalTail) {
     EXPECT_EQ(tail[i].a0, tail[i - 1].a0 + 1);
 }
 
-// The whole point of the recorder: it captures the typed event stream
-// even while the sim::Trace itself is disabled, and the trace buffer
-// stays empty (recording adds no opt-in telemetry).
-TEST(FlightRecorder, CapturesEventsWhileTraceDisabled) {
-  sim::Trace trace;
-  obs::FlightRecorder fr(1, 64);
-  trace.attach_flight(&fr, 0);
-  ASSERT_FALSE(trace.enabled());
-
-  const obs::EventId id = trace.intern_event("wire.tx");
-  trace.event(1000, 0, id, /*a0=*/7, /*a1=*/4096);
-  trace.record(2000, 1, "pull.start", "handle=7");
-
-  EXPECT_EQ(trace.size(), 0u);  // disabled trace stored nothing
-  EXPECT_EQ(fr.recorded(0), 2u);
-  const auto tail = fr.tail(0);
-  ASSERT_EQ(tail.size(), 2u);
-  EXPECT_EQ(tail[0].when, 1000);
-  EXPECT_EQ(tail[0].a0, 7u);
-  EXPECT_EQ(tail[1].when, 2000);
-
-  trace.attach_flight(nullptr);  // detach: back to one-branch disabled path
-  trace.event(3000, 0, id);
-  EXPECT_EQ(fr.recorded(0), 2u);
-}
-
 // The dump format is a contract with omx_postmortem: header first, then
 // one sscanf-parseable instant event per line.
-TEST(FlightRecorder, DumpFormatRoundTrips) {
+TEST(TraceRing, PostmortemDumpRoundTrips) {
   sim::Trace trace;
-  obs::FlightRecorder fr(1, 64);
-  trace.attach_flight(&fr, 0);
+  trace.enable(64);
   const obs::EventId id = trace.intern_event("pull.start");
   trace.event(1500, 2, id, 9, 65536);
 
-  const std::string dump = render(
-      [&](std::FILE* f) { fr.dump_json(f, "pull retries exhausted handle=9",
-                                       /*seed=*/1234); });
+  const std::string dump = render([&](std::FILE* f) {
+    trace.dump_postmortem_json(f, "pull retries exhausted handle=9",
+                               /*seed=*/1234);
+  });
 
   char reason[128];
   unsigned long long seed = 0;
@@ -715,6 +686,17 @@ TEST(FlightRecorder, DumpFormatRoundTrips) {
             2);
   EXPECT_STREQ(reason, "pull retries exhausted handle=9");
   EXPECT_EQ(seed, 1234u);
+  // Byte-for-byte the format omx_postmortem and older dumps share.
+  EXPECT_EQ(dump,
+            "{\"postmortem\":{\"reason\":\"pull retries exhausted handle=9\","
+            "\"seed\":1234,\"shards\":1,\"capacity\":64,\"recorded\":[1]},\n"
+            "\"traceEvents\":[\n"
+            "{\"ph\":\"M\",\"pid\":0,\"name\":\"process_name\","
+            "\"args\":{\"name\":\"shard0\"}},\n"
+            "{\"name\":\"pull.start\",\"cat\":\"pull\",\"ph\":\"i\",\"s\":\"t\","
+            "\"pid\":0,\"tid\":2,\"ts\":1.500,"
+            "\"args\":{\"node\":2,\"a0\":9,\"a1\":65536}}\n"
+            "],\"displayTimeUnit\":\"ns\"}\n");
 
   const std::size_t pos = dump.find("{\"name\":\"pull.start\"");
   ASSERT_NE(pos, std::string::npos);
@@ -730,6 +712,7 @@ TEST(FlightRecorder, DumpFormatRoundTrips) {
                         "\"a1\":%llu",
                         name, cat, &pid, &tid, &ts, &node, &a0, &a1),
             8);
+  EXPECT_STREQ(cat, "pull");
   EXPECT_EQ(node, 2);
   EXPECT_EQ(a0, 9u);
   EXPECT_EQ(a1, 65536u);

@@ -1,12 +1,14 @@
 // End-to-end postmortem path: a scripted fault plan drives a rendezvous
 // pull to retry exhaustion, the driver's fatal path fires
-// Engine::on_panic, the always-on flight recorder dumps, and the dump's
+// Engine::on_panic, the postmortem trace ring dumps, and the dump's
 // tail maps back to the faulting message — the acceptance loop behind
 // examples/omx_postmortem, pinned as a tier-1 test.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <cstring>
+#include <fstream>
+#include <iterator>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -15,7 +17,6 @@
 #include "core/endpoint.hpp"
 #include "fault/fault.hpp"
 #include "mem/aligned_buffer.hpp"
-#include "obs/flight.hpp"
 #include "sim/engine.hpp"
 
 namespace sim = openmx::sim;
@@ -31,17 +32,16 @@ struct ForcedFailure {
   int panics = 0;
   bool recv_failed = false;
   bool send_failed = false;
-  obs::FlightRecorder recorder{1, 256};
+  std::uint64_t recorded = 0;         // events the ring ever saw
+  std::vector<obs::TraceEvent> tail;  // the ring's final contents
 };
 
 /// Kills every PullReply so the receiver's pull burns its retry budget;
-/// fills `out` with what the panic hook and the endpoints observed.
-/// (Out-parameter because the recorder ring is non-copyable.)  When
-/// `dump_path` is set, the panic hook dumps the recorder there — dumping
-/// must happen while the cluster is alive, since the recorder renders
-/// event names through the Trace's interners.
-void force_pull_exhaustion(ForcedFailure& out,
-                           const std::string& dump_path = {}) {
+/// returns what the panic hook, the endpoints and the 256-event trace
+/// ring observed.  When `dump_path` is set, the panic hook dumps the
+/// ring there.
+ForcedFailure force_pull_exhaustion(const std::string& dump_path = {}) {
+  ForcedFailure out;
   core::OmxConfig cfg;
   cfg.ioat_large = true;
   cfg.retrans_timeout = 50 * sim::kMicrosecond;
@@ -49,12 +49,13 @@ void force_pull_exhaustion(ForcedFailure& out,
 
   core::Cluster cluster;
   cluster.add_nodes(2, cfg);
-  cluster.engine().trace().attach_flight(&out.recorder, 0);
+  sim::Trace& trace = cluster.engine().trace();
+  trace.enable(256);
   cluster.engine().set_on_panic([&](const char* why) {
     out.reason = why;
     ++out.panics;
     if (!dump_path.empty())
-      out.recorder.dump_json_file(dump_path, why, /*seed=*/99);
+      trace.dump_postmortem_json(dump_path, why, /*seed=*/99);
   });
 
   fault::Plan plan(7);
@@ -72,13 +73,20 @@ void force_pull_exhaustion(ForcedFailure& out,
     out.recv_failed = ep.wait(ep.irecv(dst.data(), len, 3)).failed;
   });
   cluster.run();
+  out.recorded = trace.size() + trace.dropped();
+  out.tail = trace.snapshot();
+  return out;
+}
+
+std::string slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
 }
 
 }  // namespace
 
 TEST(Postmortem, PullExhaustionFiresPanicWithMessageIdentity) {
-  ForcedFailure f;
-  force_pull_exhaustion(f);
+  const ForcedFailure f = force_pull_exhaustion();
   EXPECT_TRUE(f.recv_failed);
   EXPECT_EQ(f.panics, 1);  // at-most-once, even with retries + abort path
   // The reason names the faulting message so tooling can map the tail.
@@ -88,8 +96,7 @@ TEST(Postmortem, PullExhaustionFiresPanicWithMessageIdentity) {
 }
 
 TEST(Postmortem, RecorderTailMapsToFaultingMessage) {
-  ForcedFailure f;
-  force_pull_exhaustion(f);
+  const ForcedFailure f = force_pull_exhaustion();
   ASSERT_FALSE(f.reason.empty());
   // Extract the handle the driver blamed...
   unsigned long long handle = 0;
@@ -97,10 +104,10 @@ TEST(Postmortem, RecorderTailMapsToFaultingMessage) {
                         "handle=%llu", &handle),
             1);
   // ...and find it in the recorded tail: the pull.start event carries
-  // (handle, len) as a0/a1, captured with the trace disabled.
-  ASSERT_GT(f.recorder.recorded(0), 0u);
+  // (handle, len) as a0/a1.
+  ASSERT_GT(f.recorded, 0u);
   bool mapped = false;
-  for (const obs::TraceEvent& e : f.recorder.tail(0))
+  for (const obs::TraceEvent& e : f.tail)
     if (e.cat == obs::Cat::Pull && e.a0 == handle) mapped = true;
   EXPECT_TRUE(mapped) << "no pull event with a0=" << handle
                       << " in the recorded tail";
@@ -108,8 +115,8 @@ TEST(Postmortem, RecorderTailMapsToFaultingMessage) {
 
 TEST(Postmortem, DumpFileRoundTripsReasonAndSeed) {
   const std::string path = ::testing::TempDir() + "postmortem_test.json";
-  ForcedFailure f;
-  force_pull_exhaustion(f, path);  // dumped by the panic hook mid-run
+  const ForcedFailure f =
+      force_pull_exhaustion(path);  // dumped by the panic hook mid-run
   ASSERT_EQ(f.panics, 1);
 
   std::FILE* in = std::fopen(path.c_str(), "r");
@@ -131,6 +138,20 @@ TEST(Postmortem, DumpFileRoundTripsReasonAndSeed) {
   std::fclose(in);
   std::remove(path.c_str());
   EXPECT_GT(events, 0u);
+}
+
+// The dump is a pure function of the simulation: two runs of the same
+// failure write byte-identical files (no wall-clock time, no addresses).
+TEST(Postmortem, DumpIsByteDeterministic) {
+  const std::string a = ::testing::TempDir() + "postmortem_det_a.json";
+  const std::string b = ::testing::TempDir() + "postmortem_det_b.json";
+  ASSERT_EQ(force_pull_exhaustion(a).panics, 1);
+  ASSERT_EQ(force_pull_exhaustion(b).panics, 1);
+  const std::string first = slurp(a), second = slurp(b);
+  std::remove(a.c_str());
+  std::remove(b.c_str());
+  ASSERT_FALSE(first.empty());
+  EXPECT_EQ(first, second);
 }
 
 TEST(Postmortem, OnPanicFiresWhenEventCallbackThrows) {

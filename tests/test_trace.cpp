@@ -13,137 +13,88 @@ namespace obs = openmx::obs;
 
 TEST(Trace, DisabledRecordsNothing) {
   sim::Trace t;
-  t.record(1, 0, "x", "y");
+  const obs::EventId id = t.intern_event("x");
+  t.event(1, 0, id, 7);
+  EXPECT_EQ(t.capacity(), 0u);  // a never-enabled trace allocates nothing
   EXPECT_EQ(t.size(), 0u);
+  EXPECT_EQ(t.dropped(), 0u);
 }
 
 TEST(Trace, RecordsInOrder) {
   sim::Trace t;
   t.enable();
-  t.record(10, 0, "a", "first");
-  t.record(20, 1, "b", "second");
+  const obs::EventId a = t.intern_event("a");
+  const obs::EventId b = t.intern_event("b");
+  t.event(10, 0, a, 1);
+  t.event(20, 1, b, 2);
   const auto snap = t.snapshot();
   ASSERT_EQ(snap.size(), 2u);
-  EXPECT_EQ(snap[0].message, "first");
+  EXPECT_EQ(t.name(snap[0].id), "a");
+  EXPECT_EQ(snap[0].a0, 1u);
   EXPECT_EQ(snap[1].when, 20);
   EXPECT_EQ(snap[1].node, 1);
 }
 
 TEST(Trace, RingDropsOldest) {
-  sim::Trace t(4);
-  t.enable();
-  for (int i = 0; i < 10; ++i)
-    t.record(i, 0, "c", std::to_string(i));
+  sim::Trace t;
+  t.enable(4);
+  const obs::EventId id = t.intern_event("c");
+  for (int i = 0; i < 10; ++i) t.event(i, 0, id, static_cast<std::uint64_t>(i));
   EXPECT_EQ(t.size(), 4u);
   EXPECT_EQ(t.dropped(), 6u);
   const auto snap = t.snapshot();
-  EXPECT_EQ(snap.front().message, "6");
-  EXPECT_EQ(snap.back().message, "9");
+  EXPECT_EQ(snap.front().a0, 6u);
+  EXPECT_EQ(snap.back().a0, 9u);
 }
 
-TEST(Trace, FilterByCategoryPrefix) {
+TEST(Trace, EnableRoundsCapacityUpToPowerOfTwo) {
   sim::Trace t;
-  t.enable();
-  t.set_filter("wire");
-  t.record(1, 0, "wire.tx", "kept");
-  t.record(2, 0, "pull.start", "dropped");
-  EXPECT_EQ(t.size(), 1u);
-  EXPECT_EQ(t.count("wire"), 1u);
-}
-
-TEST(Trace, LazyMessageNotBuiltWhenDisabled) {
-  sim::Trace t;
-  int built = 0;
-  auto lazy = [&] {
-    ++built;
-    return std::string("expensive");
-  };
-  t.record(1, 0, "a", lazy);  // disabled: callable must not run
-  EXPECT_EQ(built, 0);
-  EXPECT_EQ(t.size(), 0u);
-
-  t.enable();
-  t.set_filter("wire");
-  t.record(2, 0, "pull.start", lazy);  // filtered out: still not run
-  EXPECT_EQ(built, 0);
-  t.record(3, 0, "wire.tx", lazy);  // stored: built exactly once
-  EXPECT_EQ(built, 1);
+  t.enable(100);
+  EXPECT_EQ(t.capacity(), 128u);
+  const obs::EventId id = t.intern_event("c");
+  for (std::uint64_t i = 0; i < 300; ++i)
+    t.event(static_cast<sim::Time>(i), 0, id, i);
+  EXPECT_EQ(t.size(), 128u);
+  EXPECT_EQ(t.dropped(), 172u);
   const auto snap = t.snapshot();
-  ASSERT_EQ(snap.size(), 1u);
-  EXPECT_EQ(snap[0].message, "expensive");
+  ASSERT_EQ(snap.size(), 128u);
+  for (std::size_t i = 0; i < snap.size(); ++i)
+    EXPECT_EQ(snap[i].a0, 172u + i);  // the last 128, oldest first
 }
 
 TEST(Trace, TypedEventsReconstructCategoryAndArgs) {
   sim::Trace t;
   t.enable();
   const obs::EventId id = t.intern_event("pull.done");
+  const obs::EventId wire = t.intern_event("wire.tx");
   t.event(5, 2, id, 123, 456);
   t.event(6, 2, id, 789);
+  t.event(7, 0, wire);
   const auto snap = t.snapshot();
-  ASSERT_EQ(snap.size(), 2u);
-  EXPECT_EQ(snap[0].category, "pull.done");
-  EXPECT_EQ(snap[0].message, "a0=123 a1=456");
-  EXPECT_EQ(snap[1].message, "a0=789");
+  ASSERT_EQ(snap.size(), 3u);
+  EXPECT_EQ(t.name(snap[0].id), "pull.done");
+  EXPECT_EQ(snap[0].cat, obs::Cat::Pull);
+  EXPECT_EQ(snap[0].a0, 123u);
+  EXPECT_EQ(snap[0].a1, 456u);
+  EXPECT_EQ(snap[1].a0, 789u);
+  EXPECT_EQ(snap[1].a1, 0u);
   EXPECT_EQ(snap[1].node, 2);
-}
-
-TEST(Trace, TypedEventsHonourFilter) {
-  sim::Trace t;
-  t.enable();
-  t.set_filter("wire");
-  const obs::EventId wire = t.intern_event("wire.tx");
-  const obs::EventId pull = t.intern_event("pull.start");
-  t.event(1, 0, wire, 1);
-  t.event(2, 0, pull, 2);
-  EXPECT_EQ(t.size(), 1u);
-  EXPECT_EQ(t.count("wire"), 1u);
-}
-
-TEST(Trace, TracefMacroDoesNotEvaluateArgsWhenDisabled) {
-  sim::Trace t;
-  int evals = 0;
-  auto expensive = [&] {
-    ++evals;
-    return 42;
-  };
-  OMX_TRACEF(t, 1, 0, "a", "v=%d", expensive());
-  EXPECT_EQ(evals, 0);
-  EXPECT_EQ(t.size(), 0u);
-
-  t.enable();
-  OMX_TRACEF(t, 2, 0, "a", "v=%d", expensive());
-  EXPECT_EQ(evals, 1);
-  const auto snap = t.snapshot();
-  ASSERT_EQ(snap.size(), 1u);
-  EXPECT_EQ(snap[0].message, "v=42");
-}
-
-TEST(Trace, RecordfFormats) {
-  sim::Trace t;
-  t.enable();
-  t.recordf(1, 0, "chunk", "bytes=%zu chan=%d", std::size_t{4096}, 3);
-  const auto snap = t.snapshot();
-  ASSERT_EQ(snap.size(), 1u);
-  EXPECT_EQ(snap[0].message, "bytes=4096 chan=3");
-}
-
-TEST(Trace, InternedMessagesDedup) {
-  // The same message string recorded many times is stored once in the
-  // interner; records stay exact across the ring.
-  sim::Trace t(8);
-  t.enable();
-  for (int i = 0; i < 20; ++i) t.record(i, 0, "c", "same message");
-  EXPECT_EQ(t.size(), 8u);
-  EXPECT_EQ(t.dropped(), 12u);
-  for (const auto& r : t.snapshot()) EXPECT_EQ(r.message, "same message");
+  EXPECT_EQ(snap[2].cat, obs::Cat::Wire);
+  EXPECT_EQ(t.count("pull"), 2u);
+  EXPECT_EQ(t.count("wire.tx"), 1u);
 }
 
 TEST(Trace, ClearResets) {
   sim::Trace t;
-  t.enable();
-  t.record(1, 0, "a", "x");
+  t.enable(2);
+  const obs::EventId id = t.intern_event("a");
+  for (int i = 0; i < 3; ++i) t.event(i, 0, id);
   t.clear();
   EXPECT_EQ(t.size(), 0u);
+  EXPECT_EQ(t.dropped(), 0u);
+  EXPECT_EQ(t.capacity(), 2u);  // still enabled
+  t.event(9, 0, id);
+  EXPECT_EQ(t.size(), 1u);
 }
 
 TEST(TraceIntegration, DriverEmitsWireAndPullRecords) {
@@ -175,8 +126,8 @@ TEST(TraceIntegration, DriverEmitsWireAndPullRecords) {
   // The pull lifecycle is ordered: start strictly before done.
   sim::Time started = -1, done = -1;
   for (const auto& r : tr.snapshot()) {
-    if (r.category == "pull.start") started = r.when;
-    if (r.category == "pull.done") done = r.when;
+    if (tr.name(r.id) == "pull.start") started = r.when;
+    if (tr.name(r.id) == "pull.done") done = r.when;
   }
   EXPECT_GE(started, 0);
   EXPECT_GT(done, started);
