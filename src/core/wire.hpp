@@ -123,23 +123,28 @@ inline std::size_t wire_bytes_for(std::size_t data_bytes) {
   return kOmxHeaderBytes + data_bytes;
 }
 
-/// Wire checksum (FNV-1a over the header fields and payload bytes).  The
-/// sender stamps it into net::Frame::csum; the receiver recomputes and
-/// discards on mismatch, which is how injected wire corruption is
+/// Wire checksum over the frame's logical wire image: the header fields
+/// of its packet type plus the payload *length* — never the payload bytes.
+/// The sender stamps it into net::Frame::csum; the receiver recomputes
+/// and discards on mismatch, which is how injected wire corruption is
 /// detected and turned into an ordinary retransmission.
+///
+/// Real Open-MX checksums nothing in software (the NIC's Ethernet FCS
+/// drops damaged frames before the driver sees them), so a per-byte hash
+/// would be host work that models nothing.  Payload bytes need no
+/// coverage anyway: the payload object is shared and immutable, and the
+/// fault layer corrupts a frame by flipping its csum copy, which fails
+/// this compare exactly as a flipped payload bit would.
+///
+/// Each field is one 64-bit FNV-1a step (one xor, one multiply); a
+/// murmur3 finalizer then folds the state to 32 bits.  Every step is a
+/// bijection of the state, so any single-field change moves the 64-bit
+/// state before the fold.
 inline std::uint32_t pkt_checksum(const OmxPkt& pkt) {
-  std::uint32_t h = 0x811c9dc5u;
+  std::uint64_t h = 0xcbf29ce484222325ull;
   auto mix = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= static_cast<std::uint8_t>(v >> (8 * i));
-      h *= 0x01000193u;
-    }
-  };
-  auto mix_bytes = [&h](const std::vector<std::uint8_t>& data) {
-    for (std::uint8_t b : data) {
-      h ^= b;
-      h *= 0x01000193u;
-    }
+    h ^= v;
+    h *= 0x100000001b3ull;
   };
   mix(static_cast<std::uint64_t>(pkt.type));
   mix(pkt.src_ep);
@@ -153,7 +158,7 @@ inline std::uint32_t pkt_checksum(const OmxPkt& pkt) {
       mix(p.frag_idx);
       mix(p.frag_count);
       mix(p.offset);
-      mix_bytes(p.data);
+      mix(p.data.size());
       break;
     }
     case PktType::Rndv: {
@@ -177,7 +182,7 @@ inline std::uint32_t pkt_checksum(const OmxPkt& pkt) {
       mix(p.dst_handle);
       mix(p.frag_idx);
       mix(p.offset);
-      mix_bytes(p.data);
+      mix(p.data.size());
       break;
     }
     case PktType::MsgAck:
@@ -197,8 +202,14 @@ inline std::uint32_t pkt_checksum(const OmxPkt& pkt) {
       break;
     }
   }
+  h ^= h >> 33;
+  h *= 0xff51afd7ed558ccdull;
+  h ^= h >> 33;
+  h *= 0xc4ceb9fe1a85ec53ull;
+  h ^= h >> 33;
+  const auto folded = static_cast<std::uint32_t>(h ^ (h >> 32));
   // 0 means "no checksum"; remap the (1-in-4-billion) real zero.
-  return h ? h : 1u;
+  return folded ? folded : 1u;
 }
 
 }  // namespace openmx::core

@@ -32,11 +32,13 @@ using PayloadPtr = std::shared_ptr<const Payload>;
 /// including protocol headers but excluding the fixed per-frame Ethernet
 /// overhead (preamble/header/FCS/IFG), which the link model adds.
 ///
-/// `csum` is the protocol layer's wire checksum of the payload (0 = the
-/// sender computed none).  The payload object itself is shared and
-/// immutable, so wire corruption is modeled by flipping bits of the
-/// checksum copy carried in the frame: the receiver's recompute-and-compare
-/// fails exactly as it would had the payload bits flipped instead.
+/// `csum` is the protocol layer's wire checksum of the frame's logical
+/// wire image, its header fields and payload length (0 = the sender
+/// computed none; see core::pkt_checksum).  The payload object itself is
+/// shared and immutable, so wire corruption is modeled by flipping bits of
+/// the checksum copy carried in the frame: the receiver's
+/// recompute-and-compare fails exactly as it would had the payload bits
+/// flipped instead.
 struct Frame {
   int src_node = -1;
   int dst_node = -1;
@@ -352,7 +354,7 @@ class Network {
       return;
     }
     if (fd.corrupt) {
-      // Damage the wire image: the receiver recomputes the payload
+      // Damage the wire image: the receiver recomputes the wire
       // checksum, compares against this flipped copy, and discards.
       frame.csum ^= 0xDEADBEEFu;
       c_fault_corrupt_->add();

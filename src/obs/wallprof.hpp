@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <memory>
 #include <mutex>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -38,6 +39,29 @@ namespace openmx::obs {
 /// per-thread zone *stack* subtracts child time from the parent, so
 /// exclusive times always satisfy excl == incl - sum(child incl) exactly.
 ///
+/// Sampling: a zone costs two clock reads plus its bookkeeping (~50 ns),
+/// which on a lean engine path is a double-digit share of an event.  So
+/// only a deterministic 1-in-kSamplePeriod sample of *units* is timed.
+/// A unit is one dispatched engine event (Engine::step) or one LP
+/// scheduler window (LpScheduler::worker_loop), marked by OMX_WALL_UNIT;
+/// per thread and unit kind, the last unit of every block of P is
+/// sampled (units P-1, 2P-1, ...), so n units time floor(n/P).  Not the
+/// first: a run's first event or window is a cold outlier (process
+/// threads starting, a helper joining the barrier), and scaling it by P
+/// once per run skewed the estimates (a 2-worker barrier share read
+/// 1.39 of wall time with it, 0.70 without).  A unit
+/// opened inside another unit inherits its decision.  A zone opened
+/// inside an unsampled unit only bumps its count; zones outside any
+/// unit are always timed, exactly as before.  The estimator:
+///  - exported ns / excl_ns are a zone's timed totals scaled by
+///    count / timed-count;
+///  - a timed zone at the root of a sampled unit charges its inclusive
+///    time times P to its parent (or to the thread's top-level total),
+///    standing in for the P - 1 unsampled units around it.
+/// Together these keep excl == incl - sum(child incl) in expectation, so
+/// coverage() and per-layer shares keep their meaning; zones outside
+/// units, and zones nested inside a sampled unit's root, stay exact.
+///
 /// Wall numbers are inherently nondeterministic, so they live strictly
 /// apart from the deterministic metrics stream: export_metrics() writes
 /// wall.<zone>.{ns,count,excl_ns} into a *caller-chosen* registry and
@@ -64,9 +88,21 @@ class WallProfiler {
  public:
   struct ZoneTotals {
     std::uint64_t count = 0;
-    std::uint64_t ns = 0;       // inclusive
+    std::uint64_t timed = 0;    // occurrences actually clocked
+    std::uint64_t ns = 0;       // inclusive (scaled to count)
     std::uint64_t excl_ns = 0;  // inclusive minus time in nested zones
   };
+
+  /// Units of sampled work (see the class comment).
+  enum class Unit : std::uint8_t { kEvent, kWindow };
+  static constexpr std::size_t kNumUnits = 2;
+
+  /// One unit in kSamplePeriod is timed.  Deliberately not a knob.
+  static constexpr std::uint64_t kSamplePeriod = 64;
+
+  /// Zone ids per process; each thread keeps a flat count array this
+  /// long, so an untimed zone is one unchecked increment.
+  static constexpr std::size_t kMaxZones = 128;
 
   /// One completed zone occurrence, for the host-time Perfetto track.
   /// Timestamps are raw clock ticks; to_ns() converts at export time.
@@ -77,8 +113,10 @@ class WallProfiler {
     std::uint64_t t1 = 0;
   };
 
+  /// Never destroyed: thread-pool helpers can exit after static
+  /// destruction began, and they still hand their tables back.
   static WallProfiler& instance() {
-    static WallProfiler p;
+    static WallProfiler& p = *new WallProfiler;
     return p;
   }
 
@@ -89,6 +127,8 @@ class WallProfiler {
     const std::lock_guard<std::mutex> lock(p.mu_);
     for (std::size_t i = 0; i < p.names_.size(); ++i)
       if (p.names_[i] == name) return static_cast<std::uint32_t>(i);
+    if (p.names_.size() == kMaxZones)
+      throw std::length_error("WallProfiler: more than kMaxZones zones");
     p.names_.emplace_back(name);
     return static_cast<std::uint32_t>(p.names_.size() - 1);
   }
@@ -99,7 +139,8 @@ class WallProfiler {
 
   /// Runtime toggle (the OMX_WALLPROF env var sets the initial state).
   /// Disabling mid-zone is safe: an open zone finishes against the table
-  /// it captured at entry; new zones become no-ops.
+  /// it captured at entry; new zones become no-ops (zones inside an
+  /// already open unsampled unit still count until it closes).
   void set_enabled(bool on) {
     enabled_.store(on, std::memory_order_relaxed);
   }
@@ -168,6 +209,8 @@ class WallProfiler {
     return names_.size();
   }
 
+  /// Thread tables: at most the number of threads that ever ran zones
+  /// at the same time (exited threads hand theirs on).
   [[nodiscard]] std::size_t num_threads() const {
     const std::lock_guard<std::mutex> lock(mu_);
     return tables_.size();
@@ -180,13 +223,7 @@ class WallProfiler {
     ZoneTotals out;
     const std::size_t zid = find_zone(name);
     if (zid == names_.size()) return out;
-    for (const auto& t : tables_) {
-      if (zid >= t->stats.size()) continue;
-      const ZoneStat& s = t->stats[zid];
-      out.count += s.count;
-      out.ns += to_ns(s.incl_ticks, npt);
-      out.excl_ns += to_ns(s.incl_ticks - s.child_ticks, npt);
-    }
+    for (const auto& t : tables_) t->add_to(zid, out, npt);
     return out;
   }
 
@@ -222,14 +259,8 @@ class WallProfiler {
     const double npt = ns_per_tick();
     const std::lock_guard<std::mutex> lock(mu_);
     std::vector<ZoneTotals> agg(names_.size());
-    for (const auto& t : tables_) {
-      for (std::size_t z = 0; z < t->stats.size() && z < agg.size(); ++z) {
-        agg[z].count += t->stats[z].count;
-        agg[z].ns += to_ns(t->stats[z].incl_ticks, npt);
-        agg[z].excl_ns +=
-            to_ns(t->stats[z].incl_ticks - t->stats[z].child_ticks, npt);
-      }
-    }
+    for (const auto& t : tables_)
+      for (std::size_t z = 0; z < agg.size(); ++z) t->add_to(z, agg[z], npt);
     char name[96];
     for (std::size_t z = 0; z < agg.size(); ++z) {
       if (!agg[z].count) continue;
@@ -251,7 +282,9 @@ class WallProfiler {
     const std::lock_guard<std::mutex> lock(mu_);
     for (const auto& t : tables_) {
       for (ZoneStat& s : t->stats) s = ZoneStat{};
+      for (std::uint64_t& c : t->counts) c = 0;
       t->toplevel_ticks = 0;
+      for (std::uint64_t& u : t->units) u = 0;
       t->ring_size = 0;
       t->ring_head = 0;
       t->slices_seen = 0;
@@ -273,8 +306,9 @@ class WallProfiler {
   }
 
   /// Emits the captured slices as Chrome-trace events: one Perfetto
-  /// process per host thread (pid = kWallTracePidBase + thread index,
-  /// named "host-thread<i>"), slices in ring-chronological order with
+  /// process per thread table (pid = kWallTracePidBase + table index,
+  /// named "host-thread<i>"; threads that never overlapped in time may
+  /// share one, see register_thread), slices in ring-chronological order with
   /// timestamps in microseconds since the profiler epoch.  `first`
   /// carries the caller's separator state so the events can be appended
   /// to an existing traceEvents array (the dual-clock writer does this).
@@ -330,11 +364,13 @@ class WallProfiler {
 
  private:
   friend class WallZone;
+  friend class WallUnit;
 
+  /// Clocked totals of one zone (its count lives in ThreadTable::counts).
   struct ZoneStat {
-    std::uint64_t count = 0;
-    std::uint64_t incl_ticks = 0;
-    std::uint64_t child_ticks = 0;
+    std::uint64_t timed = 0;
+    std::uint64_t incl_ticks = 0;   // over the timed occurrences
+    std::uint64_t child_ticks = 0;  // may exceed incl_ticks (P-scaled roots)
   };
 
   struct StackFrame {
@@ -343,17 +379,77 @@ class WallProfiler {
     std::uint64_t child_ticks = 0;
   };
 
+  static constexpr std::size_t kNoRoot = ~std::size_t{0};
+
   /// All hot-path state of one thread.  Owned by the profiler's table
   /// list (the thread only caches a raw pointer), so the aggregates
   /// survive thread exit (LP helper threads come and go).
   struct ThreadTable {
-    std::vector<ZoneStat> stats;       // indexed by zone id
-    std::vector<StackFrame> stack;     // open zones, innermost last
-    std::uint64_t toplevel_ticks = 0;  // inclusive ticks of depth-0 zones
+    std::vector<std::uint64_t> counts;  // kMaxZones, indexed by zone id
+    std::vector<ZoneStat> stats;        // indexed by zone id
+    std::vector<StackFrame> stack;      // open zones, innermost last
+    std::uint64_t toplevel_ticks = 0;   // inclusive ticks of depth-0 zones
+    std::uint64_t units[kNumUnits] = {};  // units opened, per kind
+    bool in_unit = false;
+    std::size_t root_depth = kNoRoot;   // stack depth of a sampled unit
     std::vector<Slice> ring;           // bounded slice capture
     std::size_t ring_head = 0;
     std::size_t ring_size = 0;
     std::uint64_t slices_seen = 0;
+
+    /// Folds zone `z` of this thread into `out`, scaling the timed ticks
+    /// up to the full count.
+    void add_to(std::size_t z, ZoneTotals& out, double npt) const {
+      out.count += counts[z];
+      if (z >= stats.size() || !stats[z].timed) return;
+      const ZoneStat& s = stats[z];
+      out.timed += s.timed;
+      const double scaled = npt * static_cast<double>(counts[z]) /
+                            static_cast<double>(s.timed);
+      out.ns += static_cast<std::uint64_t>(
+          static_cast<double>(s.incl_ticks) * scaled);
+      if (s.incl_ticks > s.child_ticks)
+        out.excl_ns += static_cast<std::uint64_t>(
+            static_cast<double>(s.incl_ticks - s.child_ticks) * scaled);
+    }
+
+    // The clocked zone entry and exit stay out of line: only the untimed
+    // count is inlined at every zone site.
+    [[gnu::noinline]] ZoneStat& stat(std::uint32_t zone) {
+      if (zone >= stats.size()) stats.resize(zone + 8);
+      return stats[zone];
+    }
+
+    [[gnu::noinline]] void open(std::uint32_t zone) {
+      stack.push_back({zone, now_raw(), 0});
+    }
+
+    /// Folds the innermost frame into its stat and charges its parent.
+    [[gnu::noinline]] void close() {
+      const std::uint64_t t1 = now_raw();
+      const StackFrame f = stack.back();
+      stack.pop_back();
+      const std::uint64_t incl = t1 - f.t0;
+      ++counts[f.zone];
+      ZoneStat& s = stat(f.zone);
+      ++s.timed;
+      s.incl_ticks += incl;
+      s.child_ticks += f.child_ticks;
+      const std::uint64_t charge =
+          stack.size() == root_depth ? incl * kSamplePeriod : incl;
+      if (stack.empty())
+        toplevel_ticks += charge;
+      else
+        stack.back().child_ticks += charge;
+      if (!ring.empty()) {
+        ring[ring_head] = Slice{f.zone,
+                                static_cast<std::uint32_t>(stack.size()),
+                                f.t0, t1};
+        ring_head = (ring_head + 1) % ring.size();
+        if (ring_size < ring.size()) ++ring_size;
+        ++slices_seen;
+      }
+    }
   };
 
   WallProfiler() {
@@ -374,7 +470,7 @@ class WallProfiler {
   /// the thread's table, registered (and its ring sized) on first use.
   /// The cache is a constant-initialized raw pointer, not the owning
   /// shared_ptr — a zero-initialized thread_local has no dynamic-init
-  /// guard check, which matters at ~2 zones per engine event.  The
+  /// guard check, which matters at several zones per engine event.  The
   /// profiler's tables_ list keeps the table alive past thread exit.
   [[nodiscard]] static ThreadTable* tls() {
     WallProfiler& p = instance();
@@ -384,21 +480,48 @@ class WallProfiler {
     return table;
   }
 
+  /// Hands this thread a table: one left by an exited thread if any
+  /// (its aggregates keep accumulating — totals sum over tables anyway),
+  /// else a new one.  Every simulated process runs on its own OS thread,
+  /// so without reuse a long benchmark would grow one table per process
+  /// of every job.  The thread_local returner, touched only here, gives
+  /// the table back when the thread exits.
   [[nodiscard]] ThreadTable* register_thread() {
-    auto t = std::make_shared<ThreadTable>();
+    struct Returner {
+      ThreadTable* table = nullptr;
+      ~Returner() {
+        WallProfiler& p = instance();
+        const std::lock_guard<std::mutex> lock(p.mu_);
+        p.free_.push_back(table);
+      }
+    };
+    thread_local Returner returner;
     const std::lock_guard<std::mutex> lock(mu_);
+    if (!free_.empty()) {
+      returner.table = free_.back();
+      free_.pop_back();
+      return returner.table;
+    }
+    auto t = std::make_shared<ThreadTable>();
+    t->counts.assign(kMaxZones, 0);
     t->stats.resize(names_.size() + 8);
     t->stack.reserve(32);
     t->ring.resize(slice_cap_);
     tables_.push_back(t);
-    return t.get();
+    returner.table = t.get();
+    return returner.table;
   }
+
+  /// This thread's count array while it is inside an unsampled unit,
+  /// else null: the one thing an untimed zone reads.
+  static inline thread_local std::uint64_t* tl_untimed_ = nullptr;
 
   std::atomic<bool> enabled_{false};
   mutable std::atomic<double> npt_cache_{0.0};
   mutable std::mutex mu_;
   std::vector<std::string> names_;
   std::vector<std::shared_ptr<ThreadTable>> tables_;
+  std::vector<ThreadTable*> free_;  // tables of exited threads
   std::size_t slice_cap_ = 0;
   std::uint64_t epoch_raw_ = 0;
   std::chrono::steady_clock::time_point epoch_wall_{};
@@ -407,41 +530,56 @@ class WallProfiler {
 /// RAII scoped zone.  Constructed with an interned zone id (see
 /// OMX_WALL_ZONE); destruction folds the occurrence into the thread's
 /// table and charges the inclusive time to the parent frame's child
-/// accumulator — the exact-exclusive-time invariant.
+/// accumulator — the exact-exclusive-time invariant (P-scaled at the
+/// root of a sampled unit).  Inside an unsampled unit the zone only
+/// bumps its count and reads no clock.
 class WallZone {
  public:
-  explicit WallZone(std::uint32_t zone) : table_(WallProfiler::tls()) {
-    if (!table_) return;
-    table_->stack.push_back(
-        {zone, WallProfiler::now_raw(), 0});
+  [[gnu::always_inline]] explicit WallZone(std::uint32_t zone) {
+    if (std::uint64_t* counts = WallProfiler::tl_untimed_) {
+      ++counts[zone];
+      return;
+    }
+    table_ = WallProfiler::tls();
+    if (table_) table_->open(zone);
   }
 
   WallZone(const WallZone&) = delete;
   WallZone& operator=(const WallZone&) = delete;
 
-  ~WallZone() {
-    if (!table_) return;
-    const std::uint64_t t1 = WallProfiler::now_raw();
-    const WallProfiler::StackFrame f = table_->stack.back();
-    table_->stack.pop_back();
-    const std::uint64_t incl = t1 - f.t0;
-    if (f.zone >= table_->stats.size())
-      table_->stats.resize(f.zone + 8);
-    WallProfiler::ZoneStat& s = table_->stats[f.zone];
-    ++s.count;
-    s.incl_ticks += incl;
-    s.child_ticks += f.child_ticks;
-    if (table_->stack.empty())
-      table_->toplevel_ticks += incl;
-    else
-      table_->stack.back().child_ticks += incl;
-    if (!table_->ring.empty()) {
-      table_->ring[table_->ring_head] = WallProfiler::Slice{
-          f.zone, static_cast<std::uint32_t>(table_->stack.size()), f.t0, t1};
-      table_->ring_head = (table_->ring_head + 1) % table_->ring.size();
-      if (table_->ring_size < table_->ring.size()) ++table_->ring_size;
-      ++table_->slices_seen;
+  [[gnu::always_inline]] ~WallZone() {
+    if (table_) table_->close();
+  }
+
+ private:
+  WallProfiler::ThreadTable* table_ = nullptr;
+};
+
+/// RAII sampling unit (see OMX_WALL_UNIT): decides whether the zones in
+/// its scope are timed.  Nested inside another unit it does nothing.
+class WallUnit {
+ public:
+  explicit WallUnit(WallProfiler::Unit kind) : table_(WallProfiler::tls()) {
+    if (!table_ || table_->in_unit) {
+      table_ = nullptr;
+      return;
     }
+    table_->in_unit = true;
+    std::uint64_t& seen = table_->units[static_cast<std::size_t>(kind)];
+    if (++seen % WallProfiler::kSamplePeriod == 0)
+      table_->root_depth = table_->stack.size();
+    else
+      WallProfiler::tl_untimed_ = table_->counts.data();
+  }
+
+  WallUnit(const WallUnit&) = delete;
+  WallUnit& operator=(const WallUnit&) = delete;
+
+  ~WallUnit() {
+    if (!table_) return;
+    table_->in_unit = false;
+    table_->root_depth = WallProfiler::kNoRoot;
+    WallProfiler::tl_untimed_ = nullptr;
   }
 
  private:
@@ -464,8 +602,18 @@ class WallZone {
 #define OMX_WALL_ZONE(name)                                            \
   OMX_WALL_ZONE_IMPL(name, OMX_WALL_CAT(omx_wzid_, __COUNTER__),       \
                      OMX_WALL_CAT(omx_wz_, __COUNTER__))
+/// Marks the rest of the enclosing block as one sampling unit of `kind`
+/// (Event or Window): only one such unit in kSamplePeriod per thread
+/// times the zones opened inside it.
+#define OMX_WALL_UNIT(kind)                                            \
+  const ::openmx::obs::WallUnit OMX_WALL_CAT(omx_wu_, __COUNTER__) {   \
+    ::openmx::obs::WallProfiler::Unit::kind                            \
+  }
 #else
 #define OMX_WALL_ZONE(name) \
+  do {                      \
+  } while (0)
+#define OMX_WALL_UNIT(kind) \
   do {                      \
   } while (0)
 #endif

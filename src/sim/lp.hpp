@@ -306,6 +306,9 @@ class LpScheduler {
  private:
   void worker_loop(unsigned w) {
     for (;;) {
+      // One window is one profiler sampling unit: every worker times the
+      // same 1-in-kSamplePeriod windows, events inside them included.
+      OMX_WALL_UNIT(kWindow);
       if (w == 0) {
         OMX_WALL_ZONE("lp.plan");
         plan_window();

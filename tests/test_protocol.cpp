@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <set>
 #include <vector>
 
 #include "core/cluster.hpp"
@@ -361,4 +362,175 @@ TEST(Protocol, ManySmallMessagesKeepRingBounded) {
   EXPECT_EQ(f.n1().nic().counters().get("nic.rx_ring_drops"), 0u);
   openmx::testutil::expect_no_leaks(f.cluster);
   openmx::testutil::expect_frame_conservation(f.cluster);
+}
+
+// ---------------------------------------------------------------------
+// Wire checksum: header fields and payload length, never payload bytes
+// ---------------------------------------------------------------------
+
+namespace {
+
+/// Applies each edit to a copy of `base` and expects the checksum to move
+/// (and never to read 0, the "no checksum" marker).
+template <typename Pkt>
+void expect_each_edit_moves_checksum(
+    const Pkt& base, const std::vector<std::function<void(Pkt&)>>& edits) {
+  const std::uint32_t h0 = core::pkt_checksum(base);
+  EXPECT_NE(h0, 0u);
+  for (std::size_t i = 0; i < edits.size(); ++i) {
+    Pkt p = base;
+    edits[i](p);
+    const std::uint32_t h = core::pkt_checksum(p);
+    EXPECT_NE(h, h0) << core::pkt_name(base.type) << " edit #" << i;
+    EXPECT_NE(h, 0u);
+  }
+}
+
+template <typename Pkt>
+void with_endpoints(Pkt& p, std::vector<std::function<void(Pkt&)>>& edits) {
+  p.src_ep = 3;
+  p.dst_ep = 5;
+  edits.push_back([](Pkt& q) { q.src_ep = 4; });
+  edits.push_back([](Pkt& q) { q.dst_ep = 6; });
+}
+
+}  // namespace
+
+TEST(WireChecksum, EveryHeaderFieldOfEveryTypeMovesIt) {
+  {
+    core::EagerFragPkt p;
+    std::vector<std::function<void(core::EagerFragPkt&)>> e;
+    with_endpoints(p, e);
+    p.match_info = 0x1122334455667788ull;
+    p.msg_seq = 7;
+    p.msg_len = 4096;
+    p.frag_idx = 1;
+    p.frag_count = 2;
+    p.offset = 2048;
+    p.data = pattern(2048);
+    e.push_back([](auto& q) { q.match_info ^= 1ull << 63; });
+    e.push_back([](auto& q) { ++q.msg_seq; });
+    e.push_back([](auto& q) { ++q.msg_len; });
+    e.push_back([](auto& q) { ++q.frag_idx; });
+    e.push_back([](auto& q) { ++q.frag_count; });
+    e.push_back([](auto& q) { ++q.offset; });
+    e.push_back([](auto& q) { q.data.push_back(0); });
+    e.push_back([](auto& q) { q.data.pop_back(); });
+    expect_each_edit_moves_checksum(p, e);
+  }
+  {
+    core::RndvPkt p;
+    std::vector<std::function<void(core::RndvPkt&)>> e;
+    with_endpoints(p, e);
+    p.match_info = 42;
+    p.msg_seq = 9;
+    p.msg_len = 1 << 20;
+    p.src_handle = 3;
+    e.push_back([](auto& q) { ++q.match_info; });
+    e.push_back([](auto& q) { ++q.msg_seq; });
+    e.push_back([](auto& q) { ++q.msg_len; });
+    e.push_back([](auto& q) { ++q.src_handle; });
+    expect_each_edit_moves_checksum(p, e);
+  }
+  {
+    core::PullReqPkt p;
+    std::vector<std::function<void(core::PullReqPkt&)>> e;
+    with_endpoints(p, e);
+    p.src_handle = 1;
+    p.dst_handle = 2;
+    p.frag_start = 8;
+    p.frag_count = 8;
+    e.push_back([](auto& q) { ++q.src_handle; });
+    e.push_back([](auto& q) { ++q.dst_handle; });
+    e.push_back([](auto& q) { ++q.frag_start; });
+    e.push_back([](auto& q) { ++q.frag_count; });
+    expect_each_edit_moves_checksum(p, e);
+  }
+  {
+    core::PullReplyPkt p;
+    std::vector<std::function<void(core::PullReplyPkt&)>> e;
+    with_endpoints(p, e);
+    p.dst_handle = 2;
+    p.frag_idx = 5;
+    p.offset = 5 * 8192;
+    p.data = pattern(8192);
+    e.push_back([](auto& q) { ++q.dst_handle; });
+    e.push_back([](auto& q) { ++q.frag_idx; });
+    e.push_back([](auto& q) { ++q.offset; });
+    e.push_back([](auto& q) { q.data.push_back(0); });
+    e.push_back([](auto& q) { q.data.pop_back(); });
+    expect_each_edit_moves_checksum(p, e);
+  }
+  {
+    core::MsgAckPkt p;
+    std::vector<std::function<void(core::MsgAckPkt&)>> e;
+    with_endpoints(p, e);
+    p.msg_seq = 11;
+    e.push_back([](auto& q) { ++q.msg_seq; });
+    expect_each_edit_moves_checksum(p, e);
+  }
+  {
+    core::LargeAckPkt p;
+    std::vector<std::function<void(core::LargeAckPkt&)>> e;
+    with_endpoints(p, e);
+    p.src_handle = 4;
+    p.msg_seq = 12;
+    e.push_back([](auto& q) { ++q.src_handle; });
+    e.push_back([](auto& q) { ++q.msg_seq; });
+    e.push_back([](auto& q) { q.failed = true; });
+    expect_each_edit_moves_checksum(p, e);
+  }
+  {
+    core::NackPkt p;
+    std::vector<std::function<void(core::NackPkt&)>> e;
+    with_endpoints(p, e);
+    p.msg_seq = 13;
+    p.src_handle = 6;
+    e.push_back([](auto& q) { ++q.msg_seq; });
+    e.push_back([](auto& q) { ++q.src_handle; });
+    expect_each_edit_moves_checksum(p, e);
+  }
+}
+
+TEST(WireChecksum, PacketTypeIsPartOfTheImage) {
+  // Default-constructed packets differ only in their type field.
+  const std::set<std::uint32_t> sums = {
+      core::pkt_checksum(core::EagerFragPkt{}),
+      core::pkt_checksum(core::RndvPkt{}),
+      core::pkt_checksum(core::PullReqPkt{}),
+      core::pkt_checksum(core::PullReplyPkt{}),
+      core::pkt_checksum(core::MsgAckPkt{}),
+      core::pkt_checksum(core::LargeAckPkt{}),
+      core::pkt_checksum(core::NackPkt{})};
+  EXPECT_EQ(sums.size(), 7u);
+}
+
+TEST(WireChecksum, PayloadBytesAtTheSameLengthDoNotMoveIt) {
+  // The payload is shared and immutable; injected corruption flips the
+  // frame's csum copy instead, so the hash never reads payload bytes.
+  core::PullReplyPkt reply;
+  reply.data = pattern(8192);
+  core::EagerFragPkt eager;
+  eager.data = pattern(512);
+  const std::uint32_t r0 = core::pkt_checksum(reply);
+  const std::uint32_t e0 = core::pkt_checksum(eager);
+  for (std::size_t i : {std::size_t{0}, std::size_t{100}, std::size_t{511}}) {
+    reply.data[i] ^= 0x80;
+    eager.data[i] ^= 0x01;
+    EXPECT_EQ(core::pkt_checksum(reply), r0);
+    EXPECT_EQ(core::pkt_checksum(eager), e0);
+  }
+}
+
+TEST(WireChecksum, NeverZero) {
+  // 0 marks a frame that carries no checksum; a real hash of 0 is remapped.
+  core::PullReplyPkt reply;
+  core::MsgAckPkt ack;
+  for (std::uint32_t i = 0; i < 200'000; ++i) {
+    reply.frag_idx = i;
+    reply.offset = i * 8192;
+    ack.msg_seq = i;
+    ASSERT_NE(core::pkt_checksum(reply), 0u) << i;
+    ASSERT_NE(core::pkt_checksum(ack), 0u) << i;
+  }
 }

@@ -54,6 +54,8 @@ TEST_F(WallProfTest, CountsAndInclusiveTime) {
   }
   const auto t = prof().totals("t.leaf");
   EXPECT_EQ(t.count, 5u);
+  // Outside any sampling unit every occurrence is clocked.
+  EXPECT_EQ(t.timed, 5u);
   EXPECT_GE(t.ns, 5u * 20'000u);
   // A leaf zone has no children: exclusive == inclusive.
   EXPECT_EQ(t.excl_ns, t.ns);
@@ -171,6 +173,110 @@ TEST_F(WallProfTest, SliceRingRendersHostThreadTraceProcess) {
   EXPECT_NE(content.find("host-thread"), std::string::npos);
   EXPECT_NE(content.find("\"t.sliced\""), std::string::npos);
   EXPECT_NE(content.find("\"cat\":\"wall\""), std::string::npos);
+}
+
+// ---------------------------------------------------------------------
+// Sampling units
+// ---------------------------------------------------------------------
+
+constexpr std::uint64_t kP = obs::WallProfiler::kSamplePeriod;
+
+
+// Per thread and kind, units P-1, 2P-1, ... are clocked: floor(n/P) of n.
+TEST_F(WallProfTest, UnitsTimeOneInSamplePeriodPerKind) {
+  for (const std::uint64_t n : {1u, 63u, 64u, 65u, 200u}) {
+    prof().reset();
+    // Interleaved kinds keep separate counters: 2n events, n windows.
+    for (std::uint64_t i = 0; i < n; ++i) {
+      for (int k = 0; k < 2; ++k) {
+        OMX_WALL_UNIT(kEvent);
+        OMX_WALL_ZONE("t.event_root");
+        { OMX_WALL_ZONE("t.event_leaf"); }
+        { OMX_WALL_ZONE("t.event_leaf"); }
+      }
+      OMX_WALL_UNIT(kWindow);
+      OMX_WALL_ZONE("t.window_root");
+    }
+    const auto root = prof().totals("t.event_root");
+    const auto leaf = prof().totals("t.event_leaf");
+    const auto win = prof().totals("t.window_root");
+    EXPECT_EQ(root.count, 2 * n);
+    EXPECT_EQ(root.timed, 2 * n / kP) << n;
+    EXPECT_EQ(leaf.count, 4 * n);
+    EXPECT_EQ(leaf.timed, 2 * (2 * n / kP)) << n;
+    EXPECT_EQ(win.count, n);
+    EXPECT_EQ(win.timed, n / kP) << n;
+  }
+}
+
+TEST_F(WallProfTest, NestedUnitInheritsTheOuterDecision) {
+  const std::uint64_t windows = 3 * kP + 1;
+  for (std::uint64_t w = 0; w < windows; ++w) {
+    OMX_WALL_UNIT(kWindow);
+    for (int e = 0; e < 3; ++e) {
+      OMX_WALL_UNIT(kEvent);
+      OMX_WALL_ZONE("t.in_window");
+    }
+  }
+  const auto t = prof().totals("t.in_window");
+  EXPECT_EQ(t.count, 3 * windows);
+  EXPECT_EQ(t.timed, 3 * (windows / kP));
+  // The nested event units did not advance the event counter (3 * 193
+  // of them would have put a sample inside the next P - 1 units).
+  for (std::uint64_t i = 1; i < kP; ++i) {
+    OMX_WALL_UNIT(kEvent);
+    OMX_WALL_ZONE("t.after");
+  }
+  EXPECT_EQ(prof().totals("t.after").timed, 0u);
+  {
+    OMX_WALL_UNIT(kEvent);
+    OMX_WALL_ZONE("t.after");
+  }
+  EXPECT_EQ(prof().totals("t.after").timed, 1u);
+}
+
+TEST_F(WallProfTest, SampledRootsEstimateTheirParentsChildTime) {
+  // n units of ~5 us each under one always-timed parent.  The scaled
+  // estimate covers every unit (each timed one spun >= 5 us), and each
+  // sampled root charged P x its time to the parent — with n a multiple
+  // of P that is exactly the root's scaled estimate, so the parent's
+  // exclusive time is its inclusive time minus that estimate.
+  const std::uint64_t n = 4 * kP;
+  {
+    OMX_WALL_ZONE("t.parent");
+    spin_ns(20'000);
+    for (std::uint64_t i = 0; i < n; ++i) {
+      OMX_WALL_UNIT(kEvent);
+      OMX_WALL_ZONE("t.sampled_root");
+      spin_ns(5'000);
+    }
+  }
+  const auto root = prof().totals("t.sampled_root");
+  const auto parent = prof().totals("t.parent");
+  EXPECT_EQ(root.count, n);
+  EXPECT_EQ(root.timed, n / kP);
+  EXPECT_GE(root.ns, n * 5'000 - n);  // < 1 ns rounding per occurrence
+  EXPECT_EQ(parent.timed, 1u);
+  const double expect_excl =
+      parent.ns > root.ns ? static_cast<double>(parent.ns - root.ns) : 0.0;
+  EXPECT_NEAR(static_cast<double>(parent.excl_ns), expect_excl, 16.0);
+}
+
+TEST_F(WallProfTest, EngineStepsAreEventUnits) {
+  sim::Engine engine;
+  constexpr int kEvents = 1000;
+  int fired = 0;
+  for (int i = 0; i < kEvents; ++i)
+    engine.schedule(static_cast<sim::Time>(i), [&fired] { ++fired; });
+  prof().reset();
+  engine.run();
+  ASSERT_EQ(fired, kEvents);
+  // run() steps once per event plus the final step that finds the queue
+  // drained; each step is one event unit with one dispatch zone.
+  const auto d = prof().totals("engine.dispatch");
+  EXPECT_EQ(d.count, kEvents + 1u);
+  EXPECT_EQ(d.timed, (kEvents + 1) / kP);
+  EXPECT_EQ(prof().totals("engine.run").timed, 1u);
 }
 
 // ---------------------------------------------------------------------
